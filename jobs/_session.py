@@ -13,14 +13,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 def get_spark(app_name: str):
     from pyspark.sql import SparkSession
 
-    return (
+    spark = (
         SparkSession.builder.appName(app_name)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
+    # Jobs print result tables; keep Spark's warnings out of them.
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
 
 
 def bench_sf() -> float:

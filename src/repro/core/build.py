@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import LongType
 
 from repro.core.geoblock import AdaptiveGeoBlock, GeoBlock
-from repro.s2lite.cell import MAX_LEVEL, point_keys_from_latlon
+from repro.s2lite.cell import LAT_BOUNDS, LON_BOUNDS, MAX_LEVEL, point_keys_from_latlon
 
 __all__ = [
     "with_spatial_key",
@@ -39,13 +39,21 @@ def with_spatial_key(
     key_col: str = "skey",
 ) -> DataFrame:
     """Materialize the level-30 spatial point key as a column (the paper
-    materializes the S2 key "to speed up repeated benchmarking runs")."""
+    materializes the S2 key "to speed up repeated benchmarking runs").
+
+    Rows outside ``LAT_BOUNDS`` x ``LON_BOUNDS`` are filtered out first,
+    as :func:`~repro.core.raw.extract_and_reorganize` drops them. Spark
+    orders NaN above every number and a comparison with null is null, so
+    NaN and null rows fail the range test too."""
 
     @F.pandas_udf(LongType())
     def _key(lat: pd.Series, lon: pd.Series) -> pd.Series:
         return pd.Series(point_keys_from_latlon(lat.to_numpy(), lon.to_numpy()))
 
-    return df.withColumn(key_col, _key(F.col(lat_col), F.col(lon_col)))
+    lat, lon = F.col(lat_col), F.col(lon_col)
+    return df.where(lat.between(*LAT_BOUNDS) & lon.between(*LON_BOUNDS)).withColumn(
+        key_col, _key(lat, lon)
+    )
 
 
 def cell_expr(key_col: str, level: int):

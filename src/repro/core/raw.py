@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.s2lite.cell import parent, point_keys_from_latlon
+from repro.s2lite.cell import in_domain, parent, point_keys_from_latlon
 
 
 @dataclass
@@ -25,6 +25,7 @@ class RawTable:
     lats: np.ndarray
     lons: np.ndarray
     timings: dict = field(default_factory=dict)  # phase -> seconds
+    dropped: int = 0  # input rows not stored: coordinates NaN or out of range
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -58,6 +59,9 @@ def extract_and_reorganize(
     ``predicate``, if given, is a boolean-mask function applied before
     sorting — the paper's pre-defined filter predicates ("e.g., WHERE
     fare_amount > 10"); GeoBlocks supports no filters after this phase.
+    Rows whose coordinates are NaN, infinite or outside lat [-90, 90] /
+    lon [-180, 180] are not stored; their number (after ``predicate``) is
+    ``RawTable.dropped``.
     Records the sort wall-time in ``timings['sort']`` (this is the
     paper's "Sorting" column in Table 1: key extraction + reordering of
     all columns).
@@ -67,6 +71,10 @@ def extract_and_reorganize(
     t0 = time.perf_counter()
     lats = taxi[lat_col].to_numpy(dtype=np.float64)
     lons = taxi[lon_col].to_numpy(dtype=np.float64)
+    ok = in_domain(lats, lons)
+    dropped = len(ok) - int(np.count_nonzero(ok))
+    if dropped:
+        taxi, lats, lons = taxi.loc[ok], lats[ok], lons[ok]
     keys = np.asarray(point_keys_from_latlon(lats, lons), dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -77,5 +85,10 @@ def extract_and_reorganize(
     lats, lons = lats[order], lons[order]
     sort_s = time.perf_counter() - t0
     return RawTable(
-        keys=keys, columns=columns, lats=lats, lons=lons, timings={"sort": sort_s}
+        keys=keys,
+        columns=columns,
+        lats=lats,
+        lons=lons,
+        timings={"sort": sort_s},
+        dropped=dropped,
     )

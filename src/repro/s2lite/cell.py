@@ -21,6 +21,8 @@ import numpy as np
 from repro.s2lite.hilbert import d2xy, xy2d
 
 MAX_LEVEL = 30
+LAT_BOUNDS = (-90.0, 90.0)  # the projected domain, both ends inclusive
+LON_BOUNDS = (-180.0, 180.0)
 _GRID = np.int64(1) << MAX_LEVEL  # 2**30 cells per axis at the finest level
 
 # Metres per degree at NYC's latitude (~40.7 N): used only for reporting
@@ -39,7 +41,7 @@ def cell_id_from_quad(x, y, level: int):
     ``x``/``y`` index the ``2**level`` grid of that level (scalars or
     arrays).
     """
-    h = xy2d(level, x, y) if level > 0 else np.int64(0) * np.asarray(x, dtype=np.int64)
+    h = xy2d(level, x, y)
     shift = 2 * (MAX_LEVEL - level)
     out = (np.asarray(h, dtype=np.int64) << np.int64(shift + 1)) | (np.int64(1) << np.int64(shift))
     if np.ndim(out) == 0:
@@ -56,11 +58,25 @@ def _latlon_to_grid(lat, lon):
     return x, y
 
 
+def in_domain(lat, lon):
+    """True where ``(lat, lon)`` lies in the projected domain,
+    ``LAT_BOUNDS`` x ``LON_BOUNDS``; False for NaN. Points outside it
+    have no cell of their own (the grid mapping would clip them onto an
+    edge cell, or cast NaN to an arbitrary key), so callers filter them
+    out before keying."""
+    lat = np.asarray(lat, dtype=np.float64)
+    lon = np.asarray(lon, dtype=np.float64)
+    return (
+        (lat >= LAT_BOUNDS[0]) & (lat <= LAT_BOUNDS[1])
+        & (lon >= LON_BOUNDS[0]) & (lon <= LON_BOUNDS[1])
+    )
+
+
 def point_keys_from_latlon(lat, lon):
     """Level-30 "point keys" (odd leaf cell ids) for lat/lon arrays.
 
     This is the sort key of the GeoBlock raw data — the materialized "S2
-    key column" of the paper's dataset.
+    key column" of the paper's dataset. Points must be :func:`in_domain`.
     """
     x, y = _latlon_to_grid(lat, lon)
     h = xy2d(MAX_LEVEL, x, y)

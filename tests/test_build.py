@@ -37,6 +37,23 @@ def test_spatial_key_udf_matches_numpy(taxi_sdf):
     assert np.array_equal(pdf["skey"].to_numpy(), expect)
 
 
+def test_spatial_key_drops_out_of_domain_rows(spark):
+    """Same contract as extract_and_reorganize: NaN, infinite, null and
+    out-of-range coordinates are filtered before the key UDF; in-domain
+    boundary points keep their keys."""
+    nan, inf = float("nan"), float("inf")
+    bad = [(nan, -73.9), (40.7, nan), (inf, -73.9), (40.7, -inf),
+           (90.5, -73.9), (40.7, 180.5), (-91.0, -73.9), (40.7, -200.0), (None, -73.9)]
+    good = [(90.0, 180.0), (-90.0, -180.0), (90.0, -73.9), (40.7, 180.0), (40.75, -73.98)]
+    df = spark.createDataFrame(bad + good, "dropoff_lat double, dropoff_lon double")
+    pdf = with_spatial_key(df).toPandas()
+    assert len(pdf) == len(good)
+    lat, lon = np.array(good).T
+    expect = dict(zip(zip(lat, lon), point_keys_from_latlon(lat, lon)))
+    got = dict(zip(zip(pdf["dropoff_lat"], pdf["dropoff_lon"]), pdf["skey"]))
+    assert got == expect
+
+
 def test_cell_expr_matches_parent_op(taxi_sdf):
     pdf = taxi_sdf.select(
         "skey", cell_expr("skey", LEVEL).alias("cell")

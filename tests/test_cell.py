@@ -180,3 +180,10 @@ def test_cell_id_from_quad_matches_latlon_path():
     x = int((lon_lo + 180.0) / 360.0 * n + 0.5)
     y = int((lat_lo + 90.0) / 180.0 * n + 0.5)
     assert cell_id_from_quad(x, y, 10) == cid
+
+
+def test_cell_id_from_quad_level0_is_root():
+    root = cell_from_latlon(*NYC, 0)
+    assert cell_id_from_quad(0, 0, 0) == root and type(cell_id_from_quad(0, 0, 0)) is int
+    zeros = np.zeros(3, dtype=np.int64)
+    assert np.array_equal(cell_id_from_quad(zeros, zeros, 0), np.full(3, root))

@@ -6,7 +6,7 @@ import pytest
 from repro.core.geoblock import GeoBlock, needed_stats
 from repro.core.raw import extract_and_reorganize
 from repro.exact import exact_aggregates, exact_mask, relative_count_error
-from repro.s2lite.cell import cell_level, parent, range_max, range_min
+from repro.s2lite.cell import cell_level, parent, point_keys_from_latlon, range_max, range_min
 from repro.synth_data import nyc_taxi_pandas
 from repro.workloads import DEFAULT_AGGS, VALUE_COLS, neighborhoods
 
@@ -98,6 +98,38 @@ def test_build_rejects_empty():
     )
     with pytest.raises(ValueError):
         GeoBlock.build_from_raw(empty, level=15)
+
+
+# Rows that must be dropped, and in-domain boundary rows that must be kept.
+BAD_LATLON = [
+    (np.nan, -73.9), (40.7, np.nan), (np.inf, -73.9), (40.7, -np.inf),
+    (90.5, -73.9), (40.7, 180.5), (-91.0, -73.9), (40.7, -200.0),
+]
+EDGE_LATLON = [(90.0, 180.0), (-90.0, -180.0), (90.0, -73.9), (40.7, 180.0)]
+
+
+def test_out_of_domain_rows_dropped_and_counted():
+    rows = TAXI.iloc[:40].copy()
+    latlon = BAD_LATLON + EDGE_LATLON
+    rows.iloc[: len(latlon), rows.columns.get_loc("dropoff_lat")] = [p[0] for p in latlon]
+    rows.iloc[: len(latlon), rows.columns.get_loc("dropoff_lon")] = [p[1] for p in latlon]
+    raw = extract_and_reorganize(rows, VALUE_COLS)
+    assert raw.dropped == len(BAD_LATLON)
+    kept = rows.iloc[len(BAD_LATLON):]
+    assert len(raw) == len(kept)
+    expect = point_keys_from_latlon(kept["dropoff_lat"].to_numpy(), kept["dropoff_lon"].to_numpy())
+    assert np.array_equal(raw.keys, np.sort(expect))
+    for col in VALUE_COLS:
+        assert np.array_equal(np.sort(raw.columns[col]), np.sort(kept[col].to_numpy(dtype=np.float64)))
+    # Boundary points keep their keys: the edge cell, as a point just inside.
+    inside = point_keys_from_latlon([90.0 - 1e-9, -90.0], [180.0 - 1e-9, -180.0 + 1e-9])
+    assert np.array_equal(point_keys_from_latlon([90.0, -90.0], [180.0, -180.0]), inside)
+    blk = GeoBlock.build_from_raw(raw, level=15)
+    assert blk.key_min == raw.keys[0] and blk.key_max == raw.keys[-1]
+
+
+def test_clean_input_drops_nothing():
+    assert RAW.dropped == 0 and len(RAW) == len(TAXI)
 
 
 def test_predicate_filter_applied():

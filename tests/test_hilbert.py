@@ -7,6 +7,30 @@ from hypothesis import strategies as st
 from repro.s2lite.hilbert import d2xy, xy2d
 
 
+def _xy2d_reference(order: int, x, y):
+    """Reference Hilbert encoder: the plain per-level loop, one bit of x
+    and y per iteration, rotating the remaining low bits."""
+    x = np.asarray(x, dtype=np.int64).copy()
+    y = np.asarray(y, dtype=np.int64).copy()
+    d = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
+    x, y = np.broadcast_arrays(x, y)
+    x, y = x.copy(), y.copy()
+    s = np.int64(1) << (order - 1)
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += s * s * ((3 * rx) ^ ry)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x_f = np.where(flip, s - 1 - x, x)
+        y_f = np.where(flip, s - 1 - y, y)
+        x, y = np.where(swap, y_f, x_f), np.where(swap, x_f, y_f)
+        s >>= 1
+    if d.ndim == 0:
+        return int(d)
+    return d
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
 def test_bijective_small_grids(order):
     n = 1 << order
@@ -97,3 +121,29 @@ def test_locality_beats_z_order():
     )
     assert np.median(gaps) == 1
     assert (gaps == 1).mean() >= 0.5
+
+
+@pytest.mark.parametrize("order", range(1, 32))
+def test_table_driven_matches_per_level_loop(order):
+    """Arrays, scalars (Python and numpy ints) and broadcasting all give
+    the per-level loop's indices, on random points and the grid corners."""
+    n = 1 << order
+    g = np.random.default_rng(order)
+    xs = np.concatenate([g.integers(0, n, 500), [0, 0, n - 1, n - 1]])
+    ys = np.concatenate([g.integers(0, n, 500), [0, n - 1, 0, n - 1]])
+    ref = _xy2d_reference(order, xs, ys)
+    got = xy2d(order, xs, ys)
+    assert got.dtype == np.int64 and np.array_equal(got, ref)
+    for i in list(range(0, len(xs), 37)) + list(range(len(xs) - 4, len(xs))):
+        for x, y in ((int(xs[i]), int(ys[i])), (xs[i], ys[i])):
+            d = xy2d(order, x, y)
+            assert type(d) is int and d == ref[i]
+    assert np.array_equal(xy2d(order, int(xs[0]), ys), _xy2d_reference(order, int(xs[0]), ys))
+    col, row = xs[:7, None], ys[None, :5]
+    assert np.array_equal(xy2d(order, col, row), _xy2d_reference(order, col, row))
+
+
+def test_order0_is_zero():
+    assert xy2d(0, 0, 0) == 0 and type(xy2d(0, 0, 0)) is int
+    z = xy2d(0, np.zeros(3, dtype=np.int64), np.zeros((2, 1), dtype=np.int64))
+    assert z.shape == (2, 3) and not z.any()
